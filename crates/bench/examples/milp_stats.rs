@@ -22,7 +22,8 @@ fn main() {
         let f = &r.factor;
         println!(
             "          refactor={} warm_reuse={:.2} fill_nnz={} eta_folds={} snapshots={} eta_clones={} \
-             ftran_sparsity={:.3} btran_sparse={}/{} btran_sparsity={:.3} batched_cols={}",
+             ftran_sparsity={:.3} btran_sparse={}/{} btran_sparsity={:.3} dual_iters={} \
+             dual_infeasible={} snapshot_inverse_bytes={} reinversions={}",
             f.refactorisations,
             f.warm_reuse_ratio(),
             f.fill_nnz,
@@ -33,7 +34,10 @@ fn main() {
             f.btran_sparse,
             f.btran_solves,
             f.btran_sparsity(),
-            f.pricing_batched_cols
+            f.dual_iterations,
+            f.dual_infeasible,
+            f.snapshot_inverse_bytes,
+            f.snapshot_reinversions
         );
     }
 }

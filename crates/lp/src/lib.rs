@@ -8,10 +8,11 @@
 //! * [`lu`] — sparse LU factorisation with partial pivoting
 //!   (left-looking Gilbert–Peierls), including transpose solves and
 //!   pattern-tracking sparse right-hand-side solves;
-//! * [`simplex`] — a bounded-variable, two-phase revised simplex method with
-//!   product-form-of-the-inverse updates, periodic refactorisation,
-//!   candidate-list partial pricing, and a persistent
-//!   [`SimplexSolver`] that warm-starts from [`BasisSnapshot`]s;
+//! * [`simplex`] — a bounded-variable, two-phase revised simplex method
+//!   with a dense explicit inverse for small bases and a sparse LU + eta
+//!   file for large ones, periodic refactorisation, candidate-list partial
+//!   pricing, and a persistent [`SimplexSolver`] that warm-starts from
+//!   [`BasisSnapshot`]s through a bounded dual simplex;
 //! * [`milp`] — depth-first branch & bound on integer variables, each node
 //!   warm-started from its parent's basis;
 //! * [`yield_lp`] — the paper's Equations 1–7 encoded from a
@@ -28,6 +29,7 @@
 // arrays in lockstep.
 #![allow(clippy::needless_range_loop)]
 
+mod dense;
 pub mod lu;
 pub mod milp;
 pub mod problem;

@@ -5,8 +5,9 @@
 //! node: the matrix, slack/artificial columns, and scratch buffers are
 //! assembled once, and each child node warm-starts from its parent's
 //! [`BasisSnapshot`] — since parent and child differ in a single variable
-//! bound, the parent's optimal basis is usually one short repair away from
-//! the child's, eliminating per-node matrix rebuilds and cold phase-1
+//! bound, the parent's optimal basis stays dual feasible in the child and a
+//! few dual simplex pivots reach the child's optimum (or prove it
+//! infeasible), eliminating per-node matrix rebuilds and cold phase-1
 //! solves. Branching is pseudocost-driven (observed per-unit objective
 //! degradation per variable and direction, falling back to most-fractional
 //! until statistics exist), diving first into the child with the smaller
@@ -540,6 +541,47 @@ mod tests {
         assert_eq!(full.status, MilpStatus::Optimal);
         if let (Some(inc), Some(opt)) = (cut.objective, full.objective) {
             assert!(inc <= opt + 1e-9, "incumbent {inc} above optimum {opt}");
+        }
+    }
+
+    #[test]
+    fn snapshot_inverses_stay_within_the_byte_budget() {
+        use crate::simplex::{DENSE_MAX_ROWS, SNAPSHOT_INVERSE_BUDGET};
+        // A deep knapsack tree on the widest dense basis whose inverse fits
+        // the budget once but not twice: the live snapshots must never
+        // hold more than the budget, so some restores re-invert.
+        let (mut lp, vars) = hard_knapsack(24);
+        let rows = (((SNAPSHOT_INVERSE_BUDGET / 8) as f64).sqrt() as usize).min(DENSE_MAX_ROWS);
+        let mut k = 0;
+        while lp.num_rows() < rows {
+            // Never binding for binaries; only widens the basis.
+            lp.add_row(RowSense::Le, 2.0, &[(vars[k % vars.len()], 1.0)]);
+            k += 1;
+        }
+        let opts = MilpOptions {
+            max_nodes: 4000,
+            ..MilpOptions::default()
+        };
+        let r = solve_milp(&lp, &vars, &opts);
+        let f = &r.factor;
+        let one = (lp.num_rows() * lp.num_rows() * 8) as u64;
+        assert!(r.nodes > 100, "tree too shallow: {} nodes", r.nodes);
+        assert!(
+            f.snapshot_inverse_bytes >= one,
+            "no inverse was ever shared ({} bytes)",
+            f.snapshot_inverse_bytes
+        );
+        assert!(
+            f.snapshot_inverse_bytes <= SNAPSHOT_INVERSE_BUDGET as u64,
+            "live snapshots held {} bytes, budget {SNAPSHOT_INVERSE_BUDGET}",
+            f.snapshot_inverse_bytes
+        );
+        assert!(f.snapshot_reinversions > 0, "the budget never bound");
+        // Same optimum as the unpadded model.
+        let (plain, plain_vars) = hard_knapsack(24);
+        let reference = solve_milp(&plain, &plain_vars, &opts);
+        if r.status == MilpStatus::Optimal && reference.status == MilpStatus::Optimal {
+            assert!((r.objective.unwrap() - reference.objective.unwrap()).abs() < 1e-9);
         }
     }
 

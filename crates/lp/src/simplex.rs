@@ -13,48 +13,60 @@
 //!   One artificial column per row is part of the permanent matrix; it is
 //!   pinned to `[0, 0]` except during a cold phase 1, where rows whose slack
 //!   start value violates its bounds activate it on the violated side.
-//! * Warm starts restore a [`BasisSnapshot`] (basis + variable statuses +
-//!   the shared factorisation of that basis) and repair residual primal
-//!   infeasibility by minimising the violation of out-of-bounds basic
-//!   variables over a box widened to the current point; the repair can also
-//!   *prove* the new bound system infeasible, and only when it fails does
-//!   the solve fall back to a cold phase 1.
-//! * The basis inverse is kept as a sparse LU factorisation
-//!   ([`crate::lu::SparseLu`]) of a reference basis plus a product-form eta
-//!   file; the basis is refactorised every `refactor_interval` pivots, which
-//!   also recomputes the basic values to wash out drift. Refactorisation is
-//!   *partial*: the longest common prefix of the reference LU's basis and
-//!   the current basis is reused verbatim through
+//! * The basis inverse has two kernels, chosen once from the row count:
+//!   bases of at most [`DENSE_MAX_ROWS`] rows keep `B⁻¹` as a dense
+//!   row-major matrix updated in place at each pivot
+//!   (`dense::DenseInverse`); larger bases keep a sparse LU
+//!   factorisation ([`crate::lu::SparseLu`]) of a reference basis plus a
+//!   product-form eta file. Either is rebuilt every `refactor_interval`
+//!   pivots, which also recomputes the basic values to wash out drift.
+//!   Sparse refactorisation is *partial*: the longest common prefix of the
+//!   reference LU's basis and the current basis is reused verbatim through
 //!   [`crate::lu::SparseLu::refactorize_from`] (left-looking columns depend
 //!   only on earlier columns, so the reuse is bit-for-bit identical to a
 //!   from-scratch rebuild; disable with [`SimplexOptions::partial_refactor`]
 //!   to ablate).
+//! * Warm starts restore a [`BasisSnapshot`] (basis + variable statuses +
+//!   the shared factorisation of that basis, when one was kept) and run a
+//!   bounded **dual simplex**: the snapshot of an optimal parent stays dual
+//!   feasible when only bounds tighten, the leaving row is the largest
+//!   bound violation, the entering column comes from a Harris ratio test on
+//!   the pivot row, and a row with no eligible column proves the bound
+//!   system infeasible. A primal phase 2 then confirms optimality.
 //! * Pricing is candidate-list partial pricing with static steepest-edge
 //!   scoring (`|d_j| / √(1 + ‖a_j‖²)`): a short list of attractive columns
 //!   is re-priced against fresh duals each iteration and refilled by a
 //!   rotating section scan once it goes stale; a full rotation with no
-//!   candidate proves optimality. With
-//!   [`SimplexOptions::exact_candidate_weights`] the refill finalists get
-//!   *exact* steepest-edge weights `√(1 + ‖B⁻¹a_j‖²)` from one batched
-//!   multi-RHS FTRAN ([`crate::lu::SparseLu::solve_batch`]). A long
-//!   degenerate stall switches to Bland's rule (full lowest-index scan),
-//!   restoring the termination guarantee.
-//! * FTRAN tracks the nonzero pattern symbolically through
-//!   [`crate::lu::SparseLu::solve_sparse`] and the eta file, so the ratio
-//!   test and basic-value updates touch only actual nonzeros. BTRAN does
-//!   the same through [`crate::lu::SparseLu::solve_transpose_sparse`]
+//!   candidate proves optimality. A long degenerate stall switches to
+//!   Bland's rule (full lowest-index scan), restoring the termination
+//!   guarantee.
+//! * On the sparse kernel FTRAN tracks the nonzero pattern symbolically
+//!   through [`crate::lu::SparseLu::solve_sparse`] and the eta file, so the
+//!   ratio test and basic-value updates touch only actual nonzeros. BTRAN
+//!   does the same through [`crate::lu::SparseLu::solve_transpose_sparse`]
 //!   whenever `c_B` is sparse (in phase 2 of the yield LP it has a single
 //!   nonzero), falling back to the dense transpose solve otherwise.
 //! * The ratio test performs bound flips for the entering variable when the
 //!   opposite bound is reached first, and breaks near-ties by pivot
 //!   magnitude for numerical stability.
 
+use crate::dense::{DenseInverse, InverseSlot};
 use crate::lu::{SolveScratch, SparseLu};
 use crate::problem::{LinearProgram, RowSense};
 use crate::sparse::CscMatrix;
 use std::rc::Rc;
 
 use std::time::Instant;
+
+/// Bases with at most this many rows use the dense explicit-inverse kernel;
+/// larger ones use the sparse LU + eta file.
+pub const DENSE_MAX_ROWS: usize = 128;
+
+/// Bytes of dense inverse that the live snapshots of one solver may share.
+/// Beyond it the oldest snapshots give up their inverse and restoring one
+/// re-inverts; the cap keeps a deep branch & bound stack from holding one
+/// `m²` matrix per pending node.
+pub const SNAPSHOT_INVERSE_BUDGET: usize = 128 * 1024;
 
 /// Options controlling the simplex method.
 #[derive(Clone, Debug)]
@@ -72,13 +84,9 @@ pub struct SimplexOptions {
     /// Reuse the unchanged leading columns of the previous reference LU on
     /// refactorisation (see [`crate::lu::SparseLu::refactorize_from`]).
     /// The produced factorisation is bit-identical either way; turning this
-    /// off exists for differential testing and benchmarking only.
+    /// off exists for differential testing and benchmarking only. The
+    /// dense kernel ignores it.
     pub partial_refactor: bool,
-    /// Compute *exact* steepest-edge weights `√(1 + ‖B⁻¹a_j‖²)` for the
-    /// candidate-list refill finalists via one batched multi-RHS FTRAN,
-    /// instead of the static column norms. Changes pivot sequences
-    /// (deterministically); off by default.
-    pub exact_candidate_weights: bool,
 }
 
 impl Default for SimplexOptions {
@@ -90,7 +98,6 @@ impl Default for SimplexOptions {
             opt_tol: 1e-7,
             stall_threshold: 800,
             partial_refactor: true,
-            exact_candidate_weights: false,
         }
     }
 }
@@ -100,7 +107,8 @@ impl Default for SimplexOptions {
 pub enum LpStatus {
     /// Optimal solution found.
     Optimal,
-    /// No feasible point exists (phase 1 could not reach zero).
+    /// No feasible point exists (phase 1 could not reach zero, or the dual
+    /// simplex found a row no nonbasic column can repair).
     Infeasible,
     /// Objective unbounded along a feasible ray.
     Unbounded,
@@ -144,13 +152,25 @@ enum VarStatus {
 pub struct BasisSnapshot {
     status: Vec<VarStatus>,
     basis: Vec<usize>,
-    /// The factorisation of this basis — reference LU plus the eta file on
-    /// top of it — shared so warm starts skip refactorisation entirely.
-    lu: Option<Rc<SparseLu>>,
-    etas: Rc<Vec<Eta>>,
-    /// The basis the reference LU factorised (`basis` minus the eta-file
-    /// pivots) — the anchor for partial refactorisation after restore.
-    lu_basis: Rc<Vec<usize>>,
+    factor: SnapFactor,
+}
+
+/// The factorisation a snapshot shares with the solver that took it.
+#[derive(Clone, Debug)]
+enum SnapFactor {
+    /// Basis only: restoring it refactorises.
+    None,
+    /// The dense inverse (unless its solver evicted it) and its pivot
+    /// count since inversion.
+    Dense { slot: InverseSlot, updates: usize },
+    /// Reference LU plus the eta file on top of it, and the basis the
+    /// reference LU factorised (`basis` minus the eta-file pivots) — the
+    /// anchor for partial refactorisation after restore.
+    Sparse {
+        lu: Rc<SparseLu>,
+        etas: Rc<Vec<Eta>>,
+        lu_basis: Rc<Vec<usize>>,
+    },
 }
 
 /// Factorisation and triangular-solve telemetry accumulated by a
@@ -161,20 +181,22 @@ pub struct BasisSnapshot {
 /// the solve path.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct FactorStats {
-    /// Reference-LU rebuilds (interval refactorisations, snapshot eta
+    /// Basis inverse rebuilds (interval refactorisations, snapshot eta
     /// fold-ins, and warm-start restores without a shared factorisation).
     pub refactorisations: u64,
-    /// Basis columns factored from scratch across all refactorisations.
+    /// Basis columns factored from scratch across all refactorisations
+    /// (on the dense kernel: the structural columns of each inversion).
     pub cols_factored: u64,
     /// Basis columns reused verbatim from the previous reference LU
-    /// (partial refactorisation warm reuse).
+    /// (sparse partial refactorisation warm reuse).
     pub cols_reused: u64,
     /// Snapshot-triggered eta-file fold-ins (a refactorisation taken
     /// because the eta file grew past the snapshot fold threshold).
     pub eta_folds: u64,
-    /// Stored nonzeros of the most recent reference LU.
+    /// Stored entries of the most recent factorisation (`m²` on the dense
+    /// kernel).
     pub fill_nnz: usize,
-    /// Sparsity-tracked FTRAN solves (one per simplex pivot attempt).
+    /// FTRAN solves (one per simplex pivot attempt).
     pub ftran_solves: u64,
     /// Total nonzeros across all FTRAN results.
     pub ftran_nnz: u64,
@@ -192,14 +214,22 @@ pub struct FactorStats {
     /// Total sparse-path BTRAN result length (`m` per sparse solve) —
     /// denominator for [`FactorStats::btran_sparsity`].
     pub btran_dim: u64,
-    /// Candidate columns re-weighted through batched multi-RHS FTRANs
-    /// (only nonzero with [`SimplexOptions::exact_candidate_weights`]).
-    pub pricing_batched_cols: u64,
     /// Basis snapshots taken.
     pub snapshots: u64,
     /// Snapshots that had to deep-clone the eta file (the rest reused the
     /// cached `Rc` because no pivot had touched the file in between).
     pub snapshot_eta_clones: u64,
+    /// Peak bytes of dense inverse held by this solver's live snapshots;
+    /// never above [`SNAPSHOT_INVERSE_BUDGET`] (older snapshots give up
+    /// their inverse first).
+    pub snapshot_inverse_bytes: u64,
+    /// Warm starts that re-inverted because their snapshot carried no
+    /// inverse (evicted under the byte budget).
+    pub snapshot_reinversions: u64,
+    /// Dual simplex pivots of warm starts.
+    pub dual_iterations: u64,
+    /// Warm starts the dual simplex proved infeasible.
+    pub dual_infeasible: u64,
 }
 
 impl FactorStats {
@@ -248,9 +278,14 @@ impl FactorStats {
         self.btran_sparse += other.btran_sparse;
         self.btran_nnz += other.btran_nnz;
         self.btran_dim += other.btran_dim;
-        self.pricing_batched_cols += other.pricing_batched_cols;
         self.snapshots += other.snapshots;
         self.snapshot_eta_clones += other.snapshot_eta_clones;
+        self.snapshot_inverse_bytes = other
+            .snapshot_inverse_bytes
+            .max(self.snapshot_inverse_bytes);
+        self.snapshot_reinversions += other.snapshot_reinversions;
+        self.dual_iterations += other.dual_iterations;
+        self.dual_infeasible += other.dual_infeasible;
     }
 }
 
@@ -260,6 +295,65 @@ struct Eta {
     pivot: f64,
     // Entries of the FTRAN column t, excluding the pivot position.
     entries: Vec<(usize, f64)>,
+}
+
+/// The basis-inverse kernel of one solver.
+enum Factor {
+    Dense(DenseInverse),
+    Sparse(SparseFactor),
+}
+
+/// Sparse LU of a reference basis plus the product-form eta file of the
+/// pivots taken since.
+struct SparseFactor {
+    lu: Option<Rc<SparseLu>>,
+    /// The basis the reference LU factorised; shared with snapshots so a
+    /// restore re-anchors partial refactorisation without copying.
+    lu_basis: Rc<Vec<usize>>,
+    scratch: SolveScratch,
+    etas: Vec<Eta>,
+    /// Cached `Rc` of the eta file handed to the last snapshot; reused by
+    /// later snapshots until a pivot or refactorisation touches the file.
+    snap_etas: Option<Rc<Vec<Eta>>>,
+}
+
+impl SparseFactor {
+    fn new() -> SparseFactor {
+        SparseFactor {
+            lu: None,
+            lu_basis: Rc::new(Vec::new()),
+            scratch: SolveScratch::default(),
+            etas: Vec::new(),
+            snap_etas: None,
+        }
+    }
+
+    fn lu(&self) -> &SparseLu {
+        self.lu.as_deref().expect("factorized")
+    }
+
+    /// Drops the eta file (a new reference basis or a restore follows).
+    fn clear_etas(&mut self) {
+        self.etas.clear();
+        self.snap_etas = None;
+    }
+}
+
+impl Factor {
+    fn is_valid(&self) -> bool {
+        match self {
+            Factor::Dense(d) => d.is_valid(),
+            Factor::Sparse(s) => s.lu.is_some(),
+        }
+    }
+
+    /// Pivots applied on top of the last (re)factorisation.
+    fn updates(&self) -> usize {
+        match self {
+            Factor::Dense(d) => d.updates(),
+            Factor::Sparse(s) => s.etas.len(),
+        }
+    }
 }
 
 const PIVOT_TOL: f64 = 1e-9;
@@ -273,8 +367,6 @@ const REFILL_DECAY: f64 = 0.5;
 /// Snapshots fold eta files at least this long into a fresh LU; shorter
 /// files are cheaper to clone than to refactorise away.
 const SNAPSHOT_FOLD_ETAS: usize = 16;
-/// Lanes per batched multi-RHS pricing FTRAN (exact candidate weights).
-const PRICE_BATCH: usize = 8;
 /// The dual solve takes the sparse BTRAN path when `c_B` (after the eta
 /// transpose application) touches at most this fraction of the basis.
 /// The reachability walk only beats the dense triangular sweeps when the
@@ -282,19 +374,25 @@ const PRICE_BATCH: usize = 8;
 /// transpose reach closure of even a handful of entries covers most of the
 /// matrix, so the threshold is deliberately strict.
 const BTRAN_SPARSE_FRACTION: usize = 32;
+/// FTRAN entries at or below this magnitude are dropped as roundoff.
+const DROP_TOL: f64 = 1e-12;
 /// The iteration loop polls the wall-clock deadline whenever
 /// `iterations & DEADLINE_CHECK_MASK == 0` — every 64th iteration, keeping
 /// the `Instant::now` syscall off the per-pivot hot path.
 pub const DEADLINE_CHECK_MASK: usize = 63;
 
-/// Outcome of the warm-start feasibility repair.
-enum Repair {
-    /// Basis is primal feasible; proceed straight to phase 2.
+/// Outcome of a warm start's dual simplex.
+enum Warm {
+    /// Primal feasible (and dual feasible up to tolerances): finish with
+    /// primal phase 2.
     Feasible,
-    /// The repair *proved* the bound system infeasible.
+    /// The dual simplex *proved* the bound system infeasible.
     Infeasible,
-    /// Could not restore feasibility cheaply; fall back to a cold start.
+    /// The snapshot could not be used (shape mismatch, singular restore,
+    /// numerical trouble, or a stalled dual); solve cold.
     Fallback,
+    /// The deadline expired.
+    TimedOut,
 }
 
 /// A persistent bounded-variable simplex solver for one [`LinearProgram`].
@@ -321,15 +419,7 @@ pub struct SimplexSolver {
     basis: Vec<usize>,
     xb: Vec<f64>,
     rhs: Vec<f64>,
-    lu: Option<Rc<SparseLu>>,
-    /// The basis the reference LU factorised; shared with snapshots so a
-    /// restore re-anchors partial refactorisation without copying.
-    lu_basis: Rc<Vec<usize>>,
-    lu_scratch: SolveScratch,
-    etas: Vec<Eta>,
-    /// Cached `Rc` of the eta file handed to the last snapshot; reused by
-    /// later snapshots until a pivot or refactorisation touches the file.
-    snap_etas: Option<Rc<Vec<Eta>>>,
+    factor: Factor,
     opts: SimplexOptions,
     // scratch
     dense_a: Vec<f64>,
@@ -347,15 +437,12 @@ pub struct SimplexSolver {
     t: Vec<f64>,  // FTRAN result; zero outside t_pattern between pivots
     t_pattern: Vec<usize>,
     t_mark: Vec<bool>,
-    // batched pricing scratch (lazily sized to m)
-    batch_b: Vec<[f64; PRICE_BATCH]>,
-    batch_x: Vec<[f64; PRICE_BATCH]>,
+    /// Dual simplex pivot row of `B⁻¹`.
+    rho: Vec<f64>,
+    /// Dual ratio-test candidates: (column, pivot-row entry, |d_j|).
+    dual_cand: Vec<(usize, f64, f64)>,
     // pricing
     cand: Vec<usize>,
-    /// Steepest-edge weight per cached candidate (parallel to `cand`):
-    /// the static column norm, or the exact `√(1 + ‖B⁻¹a_j‖²)` when
-    /// `exact_candidate_weights` is on.
-    cand_weight: Vec<f64>,
     scan_cursor: usize,
     /// Static steepest-edge weights: `√(1 + ‖a_j‖²)` per column.
     col_norm: Vec<f64>,
@@ -388,8 +475,15 @@ pub fn solve_simplex(
 
 impl SimplexSolver {
     /// Assembles the solver state for `lp`: CSC matrix with slack and
-    /// artificial columns, cost vectors, and scratch buffers.
+    /// artificial columns, cost vectors, and scratch buffers. The basis
+    /// kernel is dense for at most [`DENSE_MAX_ROWS`] rows, sparse above.
     pub fn new(lp: &LinearProgram, opts: SimplexOptions) -> SimplexSolver {
+        Self::with_kernel(lp, opts, lp.num_rows() <= DENSE_MAX_ROWS)
+    }
+
+    /// [`SimplexSolver::new`] with the kernel chosen explicitly, for
+    /// differential tests of one kernel against the other.
+    pub(crate) fn with_kernel(lp: &LinearProgram, opts: SimplexOptions, dense: bool) -> Self {
         let m = lp.num_rows();
         let n = lp.num_vars();
         let sign = if lp.is_maximize() { -1.0 } else { 1.0 };
@@ -443,11 +537,11 @@ impl SimplexSolver {
             basis: vec![0; m],
             xb: vec![0.0; m],
             rhs: lp.rhs.clone(),
-            lu: None,
-            lu_basis: Rc::new(Vec::new()),
-            lu_scratch: SolveScratch::default(),
-            etas: Vec::new(),
-            snap_etas: None,
+            factor: if dense {
+                Factor::Dense(DenseInverse::new(m))
+            } else {
+                Factor::Sparse(SparseFactor::new())
+            },
             opts,
             dense_a: vec![0.0; m],
             dense_b: vec![0.0; m],
@@ -461,10 +555,9 @@ impl SimplexSolver {
             t: vec![0.0; m],
             t_pattern: Vec::new(),
             t_mark: vec![false; m],
-            batch_b: Vec::new(),
-            batch_x: Vec::new(),
+            rho: vec![0.0; m],
+            dual_cand: Vec::new(),
             cand: Vec::new(),
-            cand_weight: Vec::new(),
             scan_cursor: 0,
             col_norm,
             refill_floor: 0.0,
@@ -483,11 +576,19 @@ impl SimplexSolver {
     }
 
     /// Pivot rows of the current reference LU, or `None` before the first
-    /// factorisation. Differential suites compare this across solvers to
-    /// certify that partial and full refactorisation produce the same
-    /// pivot sequence.
+    /// factorisation and on the dense kernel. Differential suites compare
+    /// this across solvers to certify that partial and full
+    /// refactorisation produce the same pivot sequence.
     pub fn lu_pivot_rows(&self) -> Option<&[usize]> {
-        self.lu.as_deref().map(SparseLu::pivot_rows)
+        match &self.factor {
+            Factor::Sparse(s) => s.lu.as_deref().map(SparseLu::pivot_rows),
+            Factor::Dense(_) => None,
+        }
+    }
+
+    /// Whether this solver runs the dense explicit-inverse kernel.
+    pub fn is_dense(&self) -> bool {
+        matches!(self.factor, Factor::Dense(_))
     }
 
     /// The options this solver was built with.
@@ -519,10 +620,14 @@ impl SimplexSolver {
         self.status.fill(VarStatus::AtLower);
         self.basis.fill(0);
         self.xb.fill(0.0);
-        self.lu = None;
-        self.lu_basis = Rc::new(Vec::new());
-        self.etas.clear();
-        self.snap_etas = None;
+        match &mut self.factor {
+            Factor::Dense(d) => d.clear(),
+            Factor::Sparse(s) => {
+                s.lu = None;
+                s.lu_basis = Rc::new(Vec::new());
+                s.clear_etas();
+            }
+        }
         self.dense_a.fill(0.0);
         self.dense_b.fill(0.0);
         self.y.fill(0.0);
@@ -536,7 +641,6 @@ impl SimplexSolver {
         self.t_pattern.clear();
         self.t_mark.fill(false);
         self.cand.clear();
-        self.cand_weight.clear();
         self.scan_cursor = 0;
         self.refill_floor = 0.0;
         self.iterations = 0;
@@ -548,44 +652,76 @@ impl SimplexSolver {
     /// Captures the current basis and variable statuses for warm-starting a
     /// later, related solve. Meaningful after a [`LpStatus::Optimal`] solve.
     ///
-    /// The snapshot carries the current factorisation (reference LU + eta
-    /// file), so warm starts from it never refactorise. A long eta file is
-    /// folded into a fresh LU first — cloning it would cost more than the
-    /// factorisation it saves.
+    /// The snapshot carries the current factorisation so warm starts from
+    /// it need not refactorise. On the sparse kernel that is the reference
+    /// LU plus the eta file (a long eta file is folded into a fresh LU
+    /// first — cloning it would cost more than the factorisation it
+    /// saves). On the dense kernel the inverse is shared copy-on-write,
+    /// and the solver's live snapshots hold at most
+    /// [`SNAPSHOT_INVERSE_BUDGET`] bytes of inverse: a new snapshot takes
+    /// the inverse from the oldest ones, which keep their basis alone.
     pub fn snapshot(&mut self) -> BasisSnapshot {
-        if self.lu.is_some() && self.etas.len() >= SNAPSHOT_FOLD_ETAS {
+        if self.factor.is_valid()
+            && matches!(self.factor, Factor::Sparse(_))
+            && self.factor.updates() >= SNAPSHOT_FOLD_ETAS
+        {
             self.stats.eta_folds += 1;
             if self.refactorize().is_err() {
-                self.lu = None; // defensive: snapshot degrades to basis-only
+                // Defensive: the snapshot degrades to basis-only.
+                if let Factor::Sparse(s) = &mut self.factor {
+                    s.lu = None;
+                }
             }
         }
         self.stats.snapshots += 1;
-        // Branch & bound snapshots the same state once per branched node
-        // (both children share it) and often re-snapshots an unchanged
-        // solver; clone the eta file only when it actually changed.
-        let etas = match &self.snap_etas {
-            Some(rc) => rc.clone(),
-            None => {
-                self.stats.snapshot_eta_clones += 1;
-                let rc = Rc::new(self.etas.clone());
-                self.snap_etas = Some(rc.clone());
-                rc
+        let factor = match &mut self.factor {
+            Factor::Dense(d) => {
+                let (inv, held) = d.share(SNAPSHOT_INVERSE_BUDGET);
+                self.stats.snapshot_inverse_bytes =
+                    self.stats.snapshot_inverse_bytes.max(held as u64);
+                match inv {
+                    Some(slot) => SnapFactor::Dense {
+                        slot,
+                        updates: d.updates(),
+                    },
+                    None => SnapFactor::None,
+                }
             }
+            Factor::Sparse(s) => match &s.lu {
+                None => SnapFactor::None,
+                Some(lu) => {
+                    // Branch & bound snapshots the same state once per
+                    // branched node (both children share it) and often
+                    // re-snapshots an unchanged solver; clone the eta file
+                    // only when it actually changed.
+                    let etas = match &s.snap_etas {
+                        Some(rc) => rc.clone(),
+                        None => {
+                            self.stats.snapshot_eta_clones += 1;
+                            let rc = Rc::new(s.etas.clone());
+                            s.snap_etas = Some(rc.clone());
+                            rc
+                        }
+                    };
+                    SnapFactor::Sparse {
+                        lu: lu.clone(),
+                        etas,
+                        lu_basis: s.lu_basis.clone(),
+                    }
+                }
+            },
         };
         BasisSnapshot {
             status: self.status.clone(),
             basis: self.basis.clone(),
-            lu: self.lu.clone(),
-            etas,
-            lu_basis: self.lu_basis.clone(),
+            factor,
         }
     }
 
     /// Solves the model under the given structural-variable bounds,
     /// warm-starting from `warm` when provided. Falls back to a cold
-    /// two-phase solve whenever the snapshot cannot be repaired to primal
-    /// feasibility, so the result is identical (status and objective) to a
-    /// cold solve either way.
+    /// two-phase solve whenever the snapshot cannot be used, so the result
+    /// is identical (status and objective) to a cold solve either way.
     pub fn solve_from(
         &mut self,
         warm: Option<&BasisSnapshot>,
@@ -617,22 +753,34 @@ impl SimplexSolver {
         }
 
         // Install the working bounds: caller's structural box, sense-derived
-        // slack bounds, artificials pinned to zero.
-        self.lower[..self.n_struct].copy_from_slice(lower);
-        self.upper[..self.n_struct].copy_from_slice(upper);
-        for i in 0..self.m {
-            self.lower[self.n_struct + i] = self.slack_lower[i];
-            self.upper[self.n_struct + i] = self.slack_upper[i];
-            let aj = self.n_struct + self.m + i;
-            self.lower[aj] = 0.0;
-            self.upper[aj] = 0.0;
+        // slack bounds, artificials pinned to zero. Note whether a nonbasic
+        // variable's bounds moved: if none did, the basic values the solver
+        // holds still solve the current basis exactly.
+        let mut nonbasic_moved = false;
+        for j in 0..self.n_total() {
+            let (lo, hi) = if j < self.n_struct {
+                (lower[j], upper[j])
+            } else if j < self.n_struct + self.m {
+                let i = j - self.n_struct;
+                (self.slack_lower[i], self.slack_upper[i])
+            } else {
+                (0.0, 0.0)
+            };
+            if !matches!(self.status[j], VarStatus::Basic(_))
+                && (lo != self.lower[j] || hi != self.upper[j])
+            {
+                nonbasic_moved = true;
+            }
+            self.lower[j] = lo;
+            self.upper[j] = hi;
         }
 
         let status = match warm {
-            Some(snap) => match self.try_warm(snap) {
-                Repair::Feasible => self.phase2(),
-                Repair::Infeasible => LpStatus::Infeasible,
-                Repair::Fallback => self.cold_solve(),
+            Some(snap) => match self.try_warm(snap, nonbasic_moved) {
+                Warm::Feasible => self.phase2(),
+                Warm::Infeasible => LpStatus::Infeasible,
+                Warm::TimedOut => LpStatus::TimedOut,
+                Warm::Fallback => self.cold_solve(),
             },
             None => self.cold_solve(),
         };
@@ -715,111 +863,225 @@ impl SimplexSolver {
         }
     }
 
-    /// Restores a snapshot under the current working bounds and repairs it
-    /// to primal feasibility.
-    fn try_warm(&mut self, snap: &BasisSnapshot) -> Repair {
+    /// Restores a snapshot under the current working bounds and runs the
+    /// dual simplex from it. `nonbasic_moved` says whether installing the
+    /// current bounds moved a nonbasic variable of the basis the solver
+    /// held.
+    fn try_warm(&mut self, snap: &BasisSnapshot, nonbasic_moved: bool) -> Warm {
         let n_total = self.n_total();
         if snap.status.len() != n_total || snap.basis.len() != self.m {
-            return Repair::Fallback;
+            return Warm::Fallback;
         }
         // Depth-first search usually solves a child immediately after its
         // parent, so the solver often still *holds* the snapshot's basis —
-        // with a valid LU + eta factorisation. Detect that and skip the
-        // refactorisation: only the basic values need recomputing under the
-        // new bounds.
-        let same_basis = self.lu.is_some()
+        // with a valid factorisation. Detect that and skip the restore:
+        // only the basic values may need recomputing under the new bounds,
+        // and not even those when the branching variable is basic.
+        let same_basis = self.factor.is_valid()
             && self.basis == snap.basis
             && (0..n_total).all(|j| self.status[j] == self.normalize_status(j, snap.status[j]));
         if same_basis {
-            self.recompute_xb();
+            if nonbasic_moved {
+                self.recompute_xb();
+            }
         } else {
             self.basis.copy_from_slice(&snap.basis);
             for j in 0..n_total {
                 self.status[j] = self.normalize_status(j, snap.status[j]);
             }
-            self.etas.clear();
-            self.snap_etas = None;
-            if let Some(lu) = &snap.lu {
-                // The snapshot carries the factorisation of exactly this
-                // basis: reference LU plus the eta file on top of it.
-                self.lu = Some(lu.clone());
-                self.lu_basis = snap.lu_basis.clone();
-                self.etas.clone_from(&snap.etas);
-                // The eta file now equals the snapshot's Rc verbatim; a
-                // snapshot taken before the next pivot can reuse it.
-                self.snap_etas = Some(snap.etas.clone());
-                self.recompute_xb();
-            } else {
-                if self.refactorize().is_err() {
-                    return Repair::Fallback;
+            match (&mut self.factor, &snap.factor) {
+                (Factor::Dense(d), SnapFactor::Dense { slot, updates })
+                    if slot.borrow().is_some() =>
+                {
+                    d.restore(slot.borrow().as_ref().expect("kept"), *updates);
+                    self.recompute_xb();
+                }
+                (Factor::Sparse(s), SnapFactor::Sparse { lu, etas, lu_basis }) => {
+                    // The snapshot carries the factorisation of exactly
+                    // this basis: reference LU plus the eta file on top.
+                    s.lu = Some(lu.clone());
+                    s.lu_basis = lu_basis.clone();
+                    s.etas.clone_from(etas);
+                    // The eta file now equals the snapshot's Rc verbatim; a
+                    // snapshot taken before the next pivot can reuse it.
+                    s.snap_etas = Some(etas.clone());
+                    self.recompute_xb();
+                }
+                (factor, _) => {
+                    if let Factor::Sparse(s) = factor {
+                        s.clear_etas();
+                    } else {
+                        self.stats.snapshot_reinversions += 1;
+                    }
+                    if self.refactorize().is_err() {
+                        return Warm::Fallback;
+                    }
                 }
             }
         }
-        self.repair_primal()
+        self.dual_simplex()
     }
 
-    /// Repairs primal feasibility of a restored basis: each out-of-bounds
-    /// basic variable has its violated bound widened to the current value
-    /// and gets a unit cost pushing it back inside; minimising that proxy
-    /// either restores feasibility, proves the bound system infeasible
-    /// (the proxy optimum exceeds what any point inside the true box could
-    /// score), or gives up for a cold restart.
-    fn repair_primal(&mut self) -> Repair {
+    /// Bounded dual simplex from the restored basis under the current
+    /// bounds.
+    ///
+    /// Each iteration picks the basic variable with the largest bound
+    /// violation as the leaving row `r` and computes its pivot row
+    /// `α_j = (e_rᵀB⁻¹)·a_j`. Moving a nonbasic `x_j` by `Δ` moves `x_B[r]`
+    /// by `−α_j·Δ`, so the eligible columns are those whose free direction
+    /// pushes `x_B[r]` toward its violated bound; among them a Harris
+    /// two-pass ratio test on `|d_j| / |α_j|` keeps every reduced cost
+    /// within tolerance of its sign while preferring large pivots. The
+    /// leaving variable lands exactly on its violated bound.
+    ///
+    /// A row with no eligible column proves infeasibility: every nonbasic
+    /// variable already sits at the bound that moves `x_B[r]` furthest
+    /// toward feasibility, and it still falls short. That argument is
+    /// primal and holds whether or not the start was dual feasible;
+    /// dual feasibility only guarantees progress, and a dual that stalls
+    /// past its iteration cap falls back to a cold solve.
+    fn dual_simplex(&mut self) -> Warm {
+        let m = self.m;
         let tol = self.opts.feas_tol;
-        // (variable, widened side was upper, original bound value)
-        let mut widened: Vec<(usize, bool, f64)> = Vec::new();
-        for p in 0..self.m {
-            let j = self.basis[p];
-            let x = self.xb[p];
-            if x > self.upper[j] + tol {
-                widened.push((j, true, self.upper[j]));
-                self.upper[j] = x;
-            } else if x < self.lower[j] - tol {
-                widened.push((j, false, self.lower[j]));
-                self.lower[j] = x;
+        let opt_tol = self.opts.opt_tol;
+        let cap = self.iterations + 50 + m + self.n_struct;
+        self.cost.copy_from_slice(&self.real_cost);
+        loop {
+            // Leaving row: the largest bound violation.
+            let mut leave: Option<(usize, bool)> = None;
+            let mut worst = tol;
+            for p in 0..m {
+                let j = self.basis[p];
+                let x = self.xb[p];
+                let (viol, to_upper) = if x < self.lower[j] {
+                    (self.lower[j] - x, false)
+                } else if x > self.upper[j] {
+                    (x - self.upper[j], true)
+                } else {
+                    continue;
+                };
+                if viol > worst {
+                    worst = viol;
+                    leave = Some((p, to_upper));
+                }
             }
-        }
-        if widened.is_empty() {
-            return Repair::Feasible;
-        }
-        for j in 0..self.n_total() {
-            self.cost[j] = 0.0;
-        }
-        for &(j, was_upper, _) in &widened {
-            self.cost[j] = if was_upper { 1.0 } else { -1.0 };
-        }
-        let outcome = self.optimize();
-        // Proxy value at the repair optimum vs the best score any point of
-        // the *true* box could achieve.
-        let mut achieved = 0.0;
-        let mut target = 0.0;
-        for &(j, was_upper, orig) in &widened {
-            achieved += self.cost[j] * self.value_of(j);
-            target += if was_upper { orig } else { -orig };
-        }
-        for &(j, was_upper, orig) in &widened {
-            if was_upper {
-                self.upper[j] = orig;
+            let Some((r, to_upper)) = leave else {
+                return Warm::Feasible;
+            };
+            if self.iterations >= cap {
+                return Warm::Fallback;
+            }
+            if self.iterations & DEADLINE_CHECK_MASK == 0 {
+                if let Some(d) = self.deadline {
+                    if Instant::now() >= d {
+                        return Warm::TimedOut;
+                    }
+                }
+            }
+            self.iterations += 1;
+            self.stats.dual_iterations += 1;
+
+            self.compute_duals();
+            self.load_dual_row(r);
+            // x_B[r] above its upper bound must decrease: a column helps
+            // when its free direction has sign(Δ)·α_j > 0 (for sgn = +1),
+            // and the mirror image below the lower bound.
+            let sgn = if to_upper { 1.0 } else { -1.0 };
+            self.dual_cand.clear();
+            // Largest possible x_B[r] movement through columns whose pivot
+            // entry is too small to pivot on.
+            let mut tiny_reach = 0.0;
+            // Structural columns take a dot product; a slack column's entry
+            // is the matching entry of ρ. Artificial columns stay pinned at
+            // zero outside a cold phase 1 and never enter.
+            for j in 0..self.n_struct + m {
+                let st = self.status[j];
+                let range = self.upper[j] - self.lower[j];
+                let helps_up = match st {
+                    VarStatus::Basic(_) => continue,
+                    VarStatus::AtLower | VarStatus::AtUpper if range <= 0.0 => continue,
+                    VarStatus::AtLower => Some(true),
+                    VarStatus::AtUpper => Some(false),
+                    VarStatus::Free => None,
+                };
+                let alpha = if j < self.n_struct {
+                    self.a.col_dot(j, &self.rho)
+                } else {
+                    self.rho[j - self.n_struct]
+                };
+                if alpha.abs() <= DROP_TOL {
+                    continue; // roundoff, not a pivot-row entry
+                }
+                let eligible = match helps_up {
+                    Some(true) => sgn * alpha > 0.0,
+                    Some(false) => sgn * alpha < 0.0,
+                    None => true,
+                };
+                if !eligible {
+                    continue;
+                }
+                if alpha.abs() < PIVOT_TOL {
+                    tiny_reach += alpha.abs() * range;
+                    continue;
+                }
+                let d = self.reduced_cost(j);
+                let dabs = match helps_up {
+                    Some(true) => d.max(0.0),
+                    Some(false) => (-d).max(0.0),
+                    None => d.abs(),
+                };
+                self.dual_cand.push((j, alpha, dabs));
+            }
+            if self.dual_cand.is_empty() {
+                if tiny_reach >= worst - tol {
+                    return Warm::Fallback; // too close to call
+                }
+                self.stats.dual_infeasible += 1;
+                return Warm::Infeasible;
+            }
+            // Harris pass 1: the largest step that keeps every reduced cost
+            // within tolerance; pass 2: the largest pivot within it.
+            let mut bound = f64::INFINITY;
+            for &(_, alpha, dabs) in &self.dual_cand {
+                bound = bound.min((dabs + opt_tol) / alpha.abs());
+            }
+            let mut q = usize::MAX;
+            let mut best_abs = 0.0;
+            for &(j, alpha, dabs) in &self.dual_cand {
+                if dabs / alpha.abs() <= bound && alpha.abs() > best_abs {
+                    best_abs = alpha.abs();
+                    q = j;
+                }
+            }
+
+            self.ftran(q);
+            let tr = self.t[r];
+            if tr.abs() < PIVOT_TOL {
+                return Warm::Fallback;
+            }
+            let leaving = self.basis[r];
+            let target = if to_upper {
+                self.upper[leaving]
             } else {
-                self.lower[j] = orig;
+                self.lower[leaving]
+            };
+            let delta = (self.xb[r] - target) / tr;
+            let xq_new = nonbasic_value(self.lower[q], self.upper[q], self.status[q]) + delta;
+            for &p in &self.t_pattern {
+                self.xb[p] -= delta * self.t[p];
+            }
+            self.status[leaving] = if to_upper {
+                VarStatus::AtUpper
+            } else {
+                VarStatus::AtLower
+            };
+            self.basis[r] = q;
+            self.status[q] = VarStatus::Basic(r);
+            self.xb[r] = xq_new;
+            if self.record_pivot(r).is_err() {
+                return Warm::Fallback;
             }
         }
-        if outcome.is_err() {
-            return Repair::Fallback;
-        }
-        if achieved > target + tol * 10.0 * (1.0 + widened.len() as f64).sqrt() {
-            return Repair::Infeasible;
-        }
-        // Nonbasic variables sit on true bounds again; recompute the basics
-        // and verify feasibility survived the bound restoration.
-        self.recompute_xb();
-        for p in 0..self.m {
-            let j = self.basis[p];
-            if self.xb[p] > self.upper[j] + tol || self.xb[p] < self.lower[j] - tol {
-                return Repair::Fallback;
-            }
-        }
-        Repair::Feasible
     }
 
     /// Cold start: crash basis from slacks, artificials on violated rows,
@@ -875,8 +1137,9 @@ impl SimplexSolver {
                 any_artificial = true;
             }
         }
-        self.etas.clear();
-        self.snap_etas = None;
+        if let Factor::Sparse(s) = &mut self.factor {
+            s.clear_etas();
+        }
         if self.refactorize().is_err() {
             return LpStatus::Numerical;
         }
@@ -1009,29 +1272,38 @@ impl SimplexSolver {
                     self.basis[pos] = q;
                     self.status[q] = VarStatus::Basic(pos);
                     self.xb[pos] = xq_new;
-
-                    // Record the eta before clearing t.
-                    let pivot = self.t[pos];
-                    let mut entries = Vec::with_capacity(self.t_pattern.len());
-                    for &p in &self.t_pattern {
-                        if p != pos && self.t[p] != 0.0 {
-                            entries.push((p, self.t[p]));
-                        }
-                    }
-                    self.etas.push(Eta {
-                        pos,
-                        pivot,
-                        entries,
-                    });
-                    self.snap_etas = None;
                     self.note_degenerate(step <= self.opts.feas_tol);
-
-                    if self.etas.len() >= self.opts.refactor_interval {
-                        self.refactorize().map_err(|_| LpStatus::Numerical)?;
-                    }
+                    self.record_pivot(pos).map_err(|_| LpStatus::Numerical)?;
                 }
             }
         }
+    }
+
+    /// Folds the pivot at basis position `pos` (entering column in `t`)
+    /// into the basis inverse, refactorising once `refactor_interval`
+    /// pivots have accumulated.
+    fn record_pivot(&mut self, pos: usize) -> Result<(), ()> {
+        match &mut self.factor {
+            Factor::Dense(d) => d.update(pos, &self.t, &self.t_pattern),
+            Factor::Sparse(s) => {
+                let mut entries = Vec::with_capacity(self.t_pattern.len());
+                for &p in &self.t_pattern {
+                    if p != pos && self.t[p] != 0.0 {
+                        entries.push((p, self.t[p]));
+                    }
+                }
+                s.etas.push(Eta {
+                    pos,
+                    pivot: self.t[pos],
+                    entries,
+                });
+                s.snap_etas = None;
+            }
+        }
+        if self.factor.updates() >= self.opts.refactor_interval {
+            self.refactorize()?;
+        }
+        Ok(())
     }
 
     fn note_degenerate(&mut self, degenerate: bool) {
@@ -1046,30 +1318,45 @@ impl SimplexSolver {
         }
     }
 
-    /// y = Bᵀ⁻¹ c_B via the eta file and the LU transpose solve.
+    /// y = Bᵀ⁻¹ c_B.
     ///
     /// `c_B` is assembled sparsely (in phase 2 of the yield LP the
-    /// objective has a single nonzero) and the eta transpose application is
-    /// pattern-tracked — each eta changes only its own position, so the
-    /// pattern grows by at most one per eta. When the resulting right-hand
-    /// side stays sparse the LU solve takes the reachability-walk transpose
-    /// path; either way `y` holds the dense-valued duals afterwards (zeros
-    /// everywhere the solution is zero).
+    /// objective has a single nonzero). The dense kernel combines the rows
+    /// of `B⁻¹` it selects. The sparse kernel pattern-tracks the eta
+    /// transpose application — each eta changes only its own position, so
+    /// the pattern grows by at most one per eta — and takes the
+    /// reachability-walk transpose path when the resulting right-hand side
+    /// stays sparse; either way `y` holds the dense-valued duals afterwards
+    /// (zeros everywhere the solution is zero).
     fn compute_duals(&mut self) {
         let m = self.m;
-        let du = &mut self.du;
-        let du_mark = &mut self.du_mark;
-        let du_pattern = &mut self.du_pattern;
-        du_pattern.clear();
+        self.stats.btran_solves += 1;
+        self.du_pattern.clear();
         for p in 0..m {
             let c = self.cost[self.basis[p]];
             if c != 0.0 {
-                du[p] = c;
-                du_mark[p] = true;
-                du_pattern.push(p);
+                self.du[p] = c;
+                self.du_pattern.push(p);
             }
         }
-        for eta in self.etas.iter().rev() {
+        let s = match &mut self.factor {
+            Factor::Dense(d) => {
+                d.btran(&self.du, &self.du_pattern, &mut self.y);
+                self.y_dense = true;
+                for &p in &self.du_pattern {
+                    self.du[p] = 0.0;
+                }
+                return;
+            }
+            Factor::Sparse(s) => s,
+        };
+        let du = &mut self.du;
+        let du_mark = &mut self.du_mark;
+        let du_pattern = &mut self.du_pattern;
+        for &p in du_pattern.iter() {
+            du_mark[p] = true;
+        }
+        for eta in s.etas.iter().rev() {
             // uᵀ ← uᵀ E⁻¹: only component `pos` changes.
             let mut dot = 0.0;
             for &(p, v) in &eta.entries {
@@ -1091,31 +1378,46 @@ impl SimplexSolver {
             }
         }
         self.y_pattern.clear();
-        let lu = self.lu.as_ref().expect("factorized");
-        self.stats.btran_solves += 1;
+        let lu = s.lu.as_deref().expect("factorized");
         if self.du_pattern.len() * BTRAN_SPARSE_FRACTION <= m {
             lu.solve_transpose_sparse(
                 &mut self.du,
                 &self.du_pattern,
                 &mut self.y,
                 &mut self.y_pattern,
-                &mut self.lu_scratch,
+                &mut s.scratch,
             );
             self.y_dense = false;
             self.stats.btran_sparse += 1;
             self.stats.btran_nnz += self.y_pattern.len() as u64;
             self.stats.btran_dim += m as u64;
-            // The sparse solve restored `du` to zero; drop the marks.
-            for &p in &self.du_pattern {
-                self.du_mark[p] = false;
-            }
         } else {
             lu.solve_transpose(&mut self.du, &mut self.y);
             self.y_dense = true;
             // The dense solve consumed `du` as scratch: restore it.
             self.du.fill(0.0);
-            for &p in &self.du_pattern {
-                self.du_mark[p] = false;
+        }
+        for &p in &self.du_pattern {
+            self.du_mark[p] = false;
+        }
+    }
+
+    /// `rho = e_rᵀ B⁻¹`, the dual simplex pivot row of basis position `r`.
+    fn load_dual_row(&mut self, r: usize) {
+        match &self.factor {
+            Factor::Dense(d) => self.rho.copy_from_slice(d.row(r)),
+            Factor::Sparse(s) => {
+                let du = &mut self.du;
+                du[r] = 1.0;
+                for eta in s.etas.iter().rev() {
+                    let mut dot = 0.0;
+                    for &(p, v) in &eta.entries {
+                        dot += v * du[p];
+                    }
+                    du[eta.pos] = (du[eta.pos] - dot) / eta.pivot;
+                }
+                s.lu().solve_transpose(du, &mut self.rho);
+                du.fill(0.0);
             }
         }
     }
@@ -1123,93 +1425,25 @@ impl SimplexSolver {
     /// Entering eligibility of column `j` against the current duals:
     /// `(direction, |d_j|)` where direction +1 increases from the resting
     /// point and −1 decreases. Callers normalise the reduced-cost magnitude
-    /// by a steepest-edge weight (static column norm or the exact batched
-    /// weight), which picks markedly better pivots than raw Dantzig
-    /// scoring.
+    /// by the static steepest-edge weight, which picks markedly better
+    /// pivots than raw Dantzig scoring.
     fn eligibility(&self, j: usize) -> Option<(f64, f64)> {
+        let tol = self.opts.opt_tol;
         match self.status[j] {
             VarStatus::Basic(_) => None,
             VarStatus::AtLower | VarStatus::AtUpper if self.upper[j] - self.lower[j] <= 0.0 => {
                 None // fixed
             }
-            _ => self.eligibility_given(j, self.reduced_cost(j)),
-        }
-    }
-
-    /// Prices the contiguous column run `lo..hi` against the refill sweep's
-    /// dots, appending eligible entries as `(column, direction, score,
-    /// static weight)`. Zipped slice iteration keeps the per-column cost to
-    /// a handful of branch-predictable loads — this loop sees every column
-    /// of the problem once per refill and most are rejected.
-    fn scan_run(&self, lo: usize, hi: usize, found: &mut Vec<(usize, f64, f64, f64)>) {
-        let tol = self.opts.opt_tol;
-        for j in lo..hi {
-            let (dir, absd) = match self.status[j] {
-                VarStatus::Basic(_) => continue,
-                VarStatus::AtLower => {
-                    if self.upper[j] - self.lower[j] <= 0.0 {
-                        continue;
-                    }
-                    let d = self.reduced_cost(j);
-                    if d >= -tol {
-                        continue;
-                    }
-                    (1.0, -d)
-                }
-                VarStatus::AtUpper => {
-                    if self.upper[j] - self.lower[j] <= 0.0 {
-                        continue;
-                    }
-                    let d = self.reduced_cost(j);
-                    if d <= tol {
-                        continue;
-                    }
-                    (-1.0, d)
-                }
-                VarStatus::Free => {
-                    let d = self.reduced_cost(j);
-                    if d < -tol {
-                        (1.0, -d)
-                    } else if d > tol {
-                        (-1.0, d)
-                    } else {
-                        continue;
-                    }
-                }
-            };
-            let nm = self.col_norm[j];
-            found.push((j, dir, absd / nm, nm));
-        }
-    }
-
-    /// [`SimplexSolver::eligibility`] with the reduced cost already in hand
-    /// — the refill scan computes every column's `d` in one row sweep.
-    #[inline]
-    fn eligibility_given(&self, j: usize, d: f64) -> Option<(f64, f64)> {
-        let tol = self.opts.opt_tol;
-        match self.status[j] {
-            VarStatus::Basic(_) => None,
             VarStatus::AtLower => {
-                if self.upper[j] - self.lower[j] <= 0.0 {
-                    return None; // fixed
-                }
-                if d < -tol {
-                    Some((1.0, -d))
-                } else {
-                    None
-                }
+                let d = self.reduced_cost(j);
+                (d < -tol).then_some((1.0, -d))
             }
             VarStatus::AtUpper => {
-                if self.upper[j] - self.lower[j] <= 0.0 {
-                    return None;
-                }
-                if d > tol {
-                    Some((-1.0, d))
-                } else {
-                    None
-                }
+                let d = self.reduced_cost(j);
+                (d > tol).then_some((-1.0, d))
             }
             VarStatus::Free => {
+                let d = self.reduced_cost(j);
                 if d < -tol {
                     Some((1.0, -d))
                 } else if d > tol {
@@ -1221,6 +1455,17 @@ impl SimplexSolver {
         }
     }
 
+    /// Prices the contiguous column run `lo..hi`, appending eligible
+    /// entries as `(column, direction, score)`. This loop sees every column
+    /// of the problem once per refill and most are rejected.
+    fn scan_run(&self, lo: usize, hi: usize, found: &mut Vec<(usize, f64, f64)>) {
+        for j in lo..hi {
+            if let Some((dir, absd)) = self.eligibility(j) {
+                found.push((j, dir, absd / self.col_norm[j]));
+            }
+        }
+    }
+
     /// Chooses the entering variable by candidate-list partial pricing;
     /// returns `(column, direction)`.
     fn price(&mut self) -> Option<(usize, f64)> {
@@ -1228,28 +1473,20 @@ impl SimplexSolver {
             return self.price_bland();
         }
         // Re-price the cached candidates against the fresh duals; drop the
-        // ones no longer attractive. Each candidate is scored against its
-        // stored steepest-edge weight.
+        // ones no longer attractive.
         let mut cand = std::mem::take(&mut self.cand);
-        let mut weights = std::mem::take(&mut self.cand_weight);
         let mut best: Option<(usize, f64, f64)> = None;
-        let mut kept = 0usize;
-        for i in 0..cand.len() {
-            let j = cand[i];
-            if let Some((dir, absd)) = self.eligibility(j) {
-                let score = absd / weights[i];
-                if best.map(|(_, _, s)| score > s).unwrap_or(true) {
-                    best = Some((j, dir, score));
-                }
-                cand[kept] = j;
-                weights[kept] = weights[i];
-                kept += 1;
+        cand.retain(|&j| {
+            let Some((dir, absd)) = self.eligibility(j) else {
+                return false;
+            };
+            let score = absd / self.col_norm[j];
+            if best.map(|(_, _, s)| score > s).unwrap_or(true) {
+                best = Some((j, dir, score));
             }
-        }
-        cand.truncate(kept);
-        weights.truncate(kept);
+            true
+        });
         self.cand = cand;
-        self.cand_weight = weights;
         // Serve from the cache only while its best stays competitive with
         // the scores seen at the last refill; grinding a stale list down to
         // its dregs costs far more iterations than a rescan costs columns.
@@ -1262,12 +1499,10 @@ impl SimplexSolver {
         // accumulate for decent pivot diversity; a full rotation finding
         // nothing proves optimality for the current costs.
         self.cand.clear();
-        self.cand_weight.clear();
         let n_total = self.n_total();
         let section = (n_total / 4).clamp(SECTION_MIN.min(n_total), n_total);
         let mut scanned = 0usize;
-        // (column, direction, score, weight) with score = |d| / weight.
-        let mut found: Vec<(usize, f64, f64, f64)> = Vec::new();
+        let mut found: Vec<(usize, f64, f64)> = Vec::new();
         while scanned < n_total {
             let start = self.scan_cursor;
             let len = section.min(n_total - scanned);
@@ -1289,72 +1524,10 @@ impl SimplexSolver {
         }
         found.sort_unstable_by(|a, b| b.2.partial_cmp(&a.2).unwrap());
         found.truncate(CAND_CAP);
-        if self.opts.exact_candidate_weights {
-            self.exact_reweight(&mut found);
-        }
-        self.cand.extend(found.iter().map(|&(j, _, _, _)| j));
-        self.cand_weight.extend(found.iter().map(|&(_, _, _, w)| w));
-        let (j, dir, top, _) = found[0];
+        self.cand.extend(found.iter().map(|&(j, _, _)| j));
+        let (j, dir, top) = found[0];
         self.refill_floor = top * REFILL_DECAY;
         Some((j, dir))
-    }
-
-    /// Replaces the refill finalists' static weights with exact steepest
-    /// edge weights `√(1 + ‖B⁻¹a_j‖²)`, computed through batched multi-RHS
-    /// FTRANs ([`SparseLu::solve_batch`], [`PRICE_BATCH`] lanes per pass
-    /// over the factor) plus the eta file, then re-sorts by the exact
-    /// score.
-    fn exact_reweight(&mut self, found: &mut [(usize, f64, f64, f64)]) {
-        let m = self.m;
-        if self.batch_b.len() < m {
-            self.batch_b.resize(m, [0.0; PRICE_BATCH]);
-            self.batch_x.resize(m, [0.0; PRICE_BATCH]);
-        }
-        let mut start = 0;
-        while start < found.len() {
-            let lanes = (found.len() - start).min(PRICE_BATCH);
-            for row in self.batch_b[..m].iter_mut() {
-                *row = [0.0; PRICE_BATCH];
-            }
-            for (lane, &(j, ..)) in found[start..start + lanes].iter().enumerate() {
-                let (rows, vals) = self.a.col(j);
-                for (&r, &v) in rows.iter().zip(vals) {
-                    self.batch_b[r][lane] = v;
-                }
-            }
-            self.lu
-                .as_ref()
-                .expect("factorized")
-                .solve_batch(&mut self.batch_b[..m], &mut self.batch_x[..m]);
-            let batch_x = &mut self.batch_x;
-            for eta in &self.etas {
-                let xp = batch_x[eta.pos];
-                let mut tr = [0.0f64; PRICE_BATCH];
-                for (lane, t) in tr.iter_mut().enumerate() {
-                    *t = xp[lane] / eta.pivot;
-                }
-                batch_x[eta.pos] = tr;
-                for &(p, v) in &eta.entries {
-                    let row = &mut batch_x[p];
-                    for lane in 0..PRICE_BATCH {
-                        row[lane] -= v * tr[lane];
-                    }
-                }
-            }
-            for (lane, entry) in found[start..start + lanes].iter_mut().enumerate() {
-                let mut gamma = 1.0;
-                for row in self.batch_x[..m].iter() {
-                    gamma += row[lane] * row[lane];
-                }
-                let weight = gamma.sqrt();
-                let absd = entry.2 * entry.3;
-                entry.2 = absd / weight;
-                entry.3 = weight;
-            }
-            self.stats.pricing_batched_cols += lanes as u64;
-            start += lanes;
-        }
-        found.sort_unstable_by(|a, b| b.2.partial_cmp(&a.2).unwrap());
     }
 
     /// Bland's rule: the eligible column with the lowest index.
@@ -1367,62 +1540,76 @@ impl SimplexSolver {
         self.cost[j] - self.a.col_dot(j, &self.y)
     }
 
-    /// t = B⁻¹ a_q with its nonzero pattern tracked symbolically through the
-    /// LU solve and the eta file.
+    /// t = B⁻¹ a_q with its nonzero pattern: computed densely on the dense
+    /// kernel, tracked symbolically through the LU solve and the eta file
+    /// on the sparse one.
     fn ftran(&mut self, q: usize) {
+        let m = self.m;
         // Clear the previous tableau column.
         for &p in &self.t_pattern {
             self.t[p] = 0.0;
         }
         self.t_pattern.clear();
-        {
-            let (rows, vals) = self.a.col(q);
-            for (&r, &v) in rows.iter().zip(vals) {
-                self.fb[r] = v;
-            }
-            self.lu.as_ref().expect("factorized").solve_sparse(
-                &mut self.fb,
-                rows,
-                &mut self.t,
-                &mut self.t_pattern,
-                &mut self.lu_scratch,
-            );
-        }
-        if !self.etas.is_empty() {
-            for &p in &self.t_pattern {
-                self.t_mark[p] = true;
-            }
-            for eta in &self.etas {
-                let tp = self.t[eta.pos];
-                if tp == 0.0 {
-                    continue;
-                }
-                let tr = tp / eta.pivot;
-                self.t[eta.pos] = tr;
-                for &(p, v) in &eta.entries {
-                    if !self.t_mark[p] {
-                        self.t_mark[p] = true;
+        let (rows, vals) = self.a.col(q);
+        match &mut self.factor {
+            Factor::Dense(d) => {
+                d.ftran(rows, vals, &mut self.t);
+                for p in 0..m {
+                    if self.t[p].abs() > DROP_TOL {
                         self.t_pattern.push(p);
+                    } else {
+                        self.t[p] = 0.0;
                     }
-                    self.t[p] -= v * tr;
                 }
             }
-            for &p in &self.t_pattern {
-                self.t_mark[p] = false;
+            Factor::Sparse(s) => {
+                for (&r, &v) in rows.iter().zip(vals) {
+                    self.fb[r] = v;
+                }
+                s.lu.as_deref().expect("factorized").solve_sparse(
+                    &mut self.fb,
+                    rows,
+                    &mut self.t,
+                    &mut self.t_pattern,
+                    &mut s.scratch,
+                );
+                if !s.etas.is_empty() {
+                    for &p in &self.t_pattern {
+                        self.t_mark[p] = true;
+                    }
+                    for eta in &s.etas {
+                        let tp = self.t[eta.pos];
+                        if tp == 0.0 {
+                            continue;
+                        }
+                        let tr = tp / eta.pivot;
+                        self.t[eta.pos] = tr;
+                        for &(p, v) in &eta.entries {
+                            if !self.t_mark[p] {
+                                self.t_mark[p] = true;
+                                self.t_pattern.push(p);
+                            }
+                            self.t[p] -= v * tr;
+                        }
+                    }
+                    for &p in &self.t_pattern {
+                        self.t_mark[p] = false;
+                    }
+                }
+                let t = &mut self.t;
+                self.t_pattern.retain(|&p| {
+                    if t[p].abs() > DROP_TOL {
+                        true
+                    } else {
+                        t[p] = 0.0;
+                        false
+                    }
+                });
             }
         }
-        let t = &mut self.t;
-        self.t_pattern.retain(|&p| {
-            if t[p].abs() > 1e-12 {
-                true
-            } else {
-                t[p] = 0.0;
-                false
-            }
-        });
         self.stats.ftran_solves += 1;
         self.stats.ftran_nnz += self.t_pattern.len() as u64;
-        self.stats.ftran_dim += self.m as u64;
+        self.stats.ftran_dim += m as u64;
     }
 
     fn ratio_test(&self, q: usize, dir: f64) -> RatioOutcome {
@@ -1496,54 +1683,60 @@ impl SimplexSolver {
         }
     }
 
-    /// Rebuilds the LU factorisation of the current basis and recomputes the
+    /// Rebuilds the basis inverse of the current basis and recomputes the
     /// basic values (washing out accumulated drift).
     ///
-    /// When [`SimplexOptions::partial_refactor`] is on and a reference LU
-    /// exists, the factorisation is *warm*: the longest common prefix of the
-    /// previous and current basis column lists keeps its already-factored
-    /// L/U columns verbatim ([`SparseLu::refactorize_from`]) and only the
-    /// suffix is re-eliminated. Left-looking construction makes the result
+    /// The dense kernel inverts from scratch. On the sparse kernel, when
+    /// [`SimplexOptions::partial_refactor`] is on and a reference LU
+    /// exists, the factorisation is *warm*: the longest common prefix of
+    /// the previous and current basis column lists keeps its
+    /// already-factored L/U columns verbatim
+    /// ([`SparseLu::refactorize_from`]) and only the suffix is
+    /// re-eliminated. Left-looking construction makes the result
     /// bit-for-bit identical to a from-scratch factorisation.
     fn refactorize(&mut self) -> Result<(), ()> {
         let a = &self.a;
         let basis = &self.basis;
-        let keep = if self.opts.partial_refactor {
-            lcp(&self.lu_basis, basis)
-        } else {
-            0
-        };
-        let column = |p: usize, buf: &mut Vec<(usize, f64)>| {
-            let (rows, vals) = a.col(basis[p]);
-            buf.extend(rows.iter().copied().zip(vals.iter().copied()));
-        };
-        let lu = match (keep > 0).then_some(self.lu.as_deref()).flatten() {
-            Some(prev) => SparseLu::refactorize_from(prev, keep, column),
-            None => SparseLu::factorize(self.m, column),
+        match &mut self.factor {
+            Factor::Dense(d) => {
+                let k = d.invert(a, basis, self.n_struct)?;
+                self.stats.cols_factored += k as u64;
+                self.stats.fill_nnz = self.m * self.m;
+            }
+            Factor::Sparse(s) => {
+                let keep = if self.opts.partial_refactor {
+                    lcp(&s.lu_basis, basis)
+                } else {
+                    0
+                };
+                let column = |p: usize, buf: &mut Vec<(usize, f64)>| {
+                    let (rows, vals) = a.col(basis[p]);
+                    buf.extend(rows.iter().copied().zip(vals.iter().copied()));
+                };
+                let lu = match (keep > 0).then_some(s.lu.as_deref()).flatten() {
+                    Some(prev) => SparseLu::refactorize_from(prev, keep, column),
+                    None => SparseLu::factorize(self.m, column),
+                }
+                .map_err(|_| ())?;
+                self.stats.cols_factored += (self.m - keep) as u64;
+                self.stats.cols_reused += keep as u64;
+                self.stats.fill_nnz = lu.fill_nnz();
+                s.lu = Some(Rc::new(lu));
+                Rc::make_mut(&mut s.lu_basis).clone_from(basis);
+                s.clear_etas();
+            }
         }
-        .map_err(|_| ())?;
         self.stats.refactorisations += 1;
-        self.stats.cols_factored += (self.m - keep) as u64;
-        self.stats.cols_reused += keep as u64;
-        self.stats.fill_nnz = lu.fill_nnz();
-        self.lu = Some(Rc::new(lu));
-        Rc::make_mut(&mut self.lu_basis).clone_from(basis);
-        self.etas.clear();
-        self.snap_etas = None;
-        // With the eta file just cleared this reduces to a plain LU solve.
         self.recompute_xb();
         Ok(())
     }
 
-    /// Recomputes the basic values under the *current* factorisation
-    /// (LU reference basis + eta file) without refactorising — used when
-    /// only bounds changed while the basis and its factorisation are still
-    /// valid.
+    /// Recomputes the basic values under the *current* basis inverse
+    /// without refactorising — used when only bounds changed while the
+    /// basis and its factorisation are still valid.
     fn recompute_xb(&mut self) {
         let m = self.m;
-        for p in 0..m {
-            self.dense_b[p] = self.rhs[p];
-        }
+        self.dense_b[..m].copy_from_slice(&self.rhs);
         for j in 0..self.n_total() {
             match self.status[j] {
                 VarStatus::Basic(_) => {}
@@ -1555,21 +1748,23 @@ impl SimplexSolver {
                 }
             }
         }
-        self.lu
-            .as_ref()
-            .expect("factorized")
-            .solve(&mut self.dense_b, &mut self.dense_a);
-        // Push through the eta file, exactly as FTRAN does.
-        for eta in &self.etas {
-            let tr = self.dense_a[eta.pos] / eta.pivot;
-            self.dense_a[eta.pos] = tr;
-            if tr != 0.0 {
-                for &(p, v) in &eta.entries {
-                    self.dense_a[p] -= v * tr;
+        match &self.factor {
+            Factor::Dense(d) => d.solve(&self.dense_b, &mut self.xb),
+            Factor::Sparse(s) => {
+                s.lu().solve(&mut self.dense_b, &mut self.dense_a);
+                // Push through the eta file, exactly as FTRAN does.
+                for eta in &s.etas {
+                    let tr = self.dense_a[eta.pos] / eta.pivot;
+                    self.dense_a[eta.pos] = tr;
+                    if tr != 0.0 {
+                        for &(p, v) in &eta.entries {
+                            self.dense_a[p] -= v * tr;
+                        }
+                    }
                 }
+                self.xb.copy_from_slice(&self.dense_a[..m]);
             }
         }
-        self.xb.copy_from_slice(&self.dense_a[..m]);
     }
 }
 
@@ -1821,6 +2016,14 @@ mod tests {
         }
     }
 
+    /// The eta file a snapshot carries (sparse kernel only).
+    fn snap_etas(snap: &BasisSnapshot) -> &Rc<Vec<Eta>> {
+        match &snap.factor {
+            SnapFactor::Sparse { etas, .. } => etas,
+            f => panic!("expected a sparse snapshot, got {f:?}"),
+        }
+    }
+
     #[test]
     fn snapshot_reuses_eta_rc_until_pivots_dirty_it() {
         // Branch & bound snapshots the same solved state once per branched
@@ -1831,14 +2034,17 @@ mod tests {
         let y = lp.add_var(0.0, 10.0, 2.0);
         lp.add_row(RowSense::Le, 4.0, &[(x, 1.0), (y, 1.0)]);
         lp.add_row(RowSense::Le, 6.0, &[(x, 1.0), (y, 3.0)]);
-        let mut solver = SimplexSolver::new(&lp, SimplexOptions::default());
+        let mut solver = SimplexSolver::with_kernel(&lp, SimplexOptions::default(), false);
         assert_eq!(
             solver.solve_from(None, &[0.0, 0.0], &[10.0, 10.0]).status,
             LpStatus::Optimal
         );
         let a = solver.snapshot();
         let b = solver.snapshot();
-        assert!(Rc::ptr_eq(&a.etas, &b.etas), "unchanged eta file recloned");
+        assert!(
+            Rc::ptr_eq(snap_etas(&a), snap_etas(&b)),
+            "unchanged eta file recloned"
+        );
         assert_eq!(solver.stats().snapshot_eta_clones, 1);
         // A solve that pivots (bound change forces re-optimisation) must
         // invalidate the cache: the next snapshot sees a different eta file.
@@ -1846,70 +2052,15 @@ mod tests {
         assert_eq!(warm.status, LpStatus::Optimal);
         let c = solver.snapshot();
         assert!(
-            !Rc::ptr_eq(&a.etas, &c.etas),
+            !Rc::ptr_eq(snap_etas(&a), snap_etas(&c)),
             "stale eta Rc served after pivoting"
         );
     }
 
     #[test]
-    fn exact_candidate_weights_matches_static_weights() {
-        // The exact steepest-edge refill weights change pivot order, not
-        // answers: statuses and objectives must agree with the static path.
-        let mut rng = 0x9e3779b97f4a7c15u64;
-        let mut rnd = move || {
-            rng ^= rng << 13;
-            rng ^= rng >> 7;
-            rng ^= rng << 17;
-            (rng >> 11) as f64 / (1u64 << 53) as f64
-        };
-        for trial in 0..20 {
-            let mut lp = LinearProgram::new();
-            lp.set_maximize(true);
-            let n = 6;
-            let vars: Vec<usize> = (0..n).map(|_| lp.add_var(0.0, 8.0, rnd() * 4.0)).collect();
-            for _ in 0..4 {
-                let coeffs: Vec<(usize, f64)> = vars
-                    .iter()
-                    .filter_map(|&v| {
-                        if rnd() < 0.7 {
-                            Some((v, rnd() * 3.0 + 0.1))
-                        } else {
-                            None
-                        }
-                    })
-                    .collect();
-                if coeffs.is_empty() {
-                    continue;
-                }
-                lp.add_row(RowSense::Le, 6.0 + rnd() * 10.0, &coeffs);
-            }
-            let lo = vec![0.0; n];
-            let hi = vec![8.0; n];
-            let static_w = lp.solve_with_bounds(&lo, &hi, &SimplexOptions::default());
-            let exact_w = lp.solve_with_bounds(
-                &lo,
-                &hi,
-                &SimplexOptions {
-                    exact_candidate_weights: true,
-                    ..SimplexOptions::default()
-                },
-            );
-            assert_eq!(static_w.status, exact_w.status, "trial {trial}");
-            if static_w.status == LpStatus::Optimal {
-                assert!(
-                    (static_w.objective - exact_w.objective).abs() < 1e-7,
-                    "trial {trial}: static {} vs exact {}",
-                    static_w.objective,
-                    exact_w.objective
-                );
-            }
-        }
-    }
-
-    #[test]
     fn warm_start_detects_child_infeasibility() {
         // min x + y s.t. x + y ≥ 4, x,y ≤ 3: feasible. Tightening both to
-        // ≤ 1 makes the system infeasible; the warm repair must report it.
+        // ≤ 1 makes the system infeasible; the warm dual must report it.
         let mut lp = LinearProgram::new();
         let x = lp.add_var(0.0, 3.0, 1.0);
         let y = lp.add_var(0.0, 3.0, 1.0);
@@ -1920,6 +2071,7 @@ mod tests {
         let snap = solver.snapshot();
         let child = solver.solve_from(Some(&snap), &[0.0, 0.0], &[1.0, 1.0]);
         assert_eq!(child.status, LpStatus::Infeasible);
+        assert_eq!(solver.stats().dual_infeasible, 1, "proved by the dual");
     }
 
     #[test]
@@ -1974,5 +2126,148 @@ mod tests {
                 );
             }
         }
+    }
+
+    /// Splitmix-style stream so every case is reproducible from its seed.
+    fn stream(seed: u64) -> impl FnMut() -> f64 {
+        let mut state = seed.wrapping_mul(0x9e37_79b9_7f4a_7c15) | 1;
+        move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            (state >> 11) as f64 / (1u64 << 53) as f64
+        }
+    }
+
+    /// A random bounded LP with mixed row senses and integral variable
+    /// boxes, plus its root box.
+    fn random_lp(rnd: &mut impl FnMut() -> f64) -> (LinearProgram, Vec<f64>, Vec<f64>) {
+        let mut lp = LinearProgram::new();
+        lp.set_maximize(rnd() < 0.5);
+        let nv = 3 + (rnd() * 6.0) as usize;
+        let vars: Vec<_> = (0..nv)
+            .map(|_| lp.add_var(0.0, (1.0 + rnd() * 4.0).floor(), rnd() * 4.0 - 2.0))
+            .collect();
+        let rows = 2 + (rnd() * 6.0) as usize;
+        for _ in 0..rows {
+            let mut coeffs = Vec::new();
+            for &v in &vars {
+                if rnd() < 0.7 {
+                    coeffs.push((v, rnd() * 2.0 - 0.6));
+                }
+            }
+            let (sense, rhs) = match (rnd() * 4.0) as usize {
+                0 => (RowSense::Ge, -3.0 * rnd()),
+                1 => (RowSense::Eq, rnd()),
+                _ => (RowSense::Le, 1.0 + 3.0 * rnd()),
+            };
+            lp.add_row(sense, rhs, &coeffs);
+        }
+        let (lo, hi) = (lp.lower.clone(), lp.upper.clone());
+        (lp, lo, hi)
+    }
+
+    /// Tightens one random variable's box to an integer split, the way a
+    /// branch & bound child differs from its parent.
+    fn branch(rnd: &mut impl FnMut() -> f64, lo: &mut [f64], hi: &mut [f64]) {
+        let v = (rnd() * lo.len() as f64) as usize % lo.len();
+        let split = lo[v] + (hi[v] - lo[v]) * rnd();
+        if rnd() < 0.5 {
+            hi[v] = split.floor().max(lo[v]);
+        } else {
+            lo[v] = split.ceil().min(hi[v]);
+        }
+    }
+
+    /// Replays a random branching sequence through one dense-kernel and
+    /// one sparse-kernel solver, cold at the root and then warm from each
+    /// kernel's own snapshot of the last optimal parent: statuses must
+    /// match and objectives agree within 1e-9.
+    fn check_kernels_agree(seed: u64) {
+        let mut rnd = stream(seed);
+        let (lp, mut lo, mut hi) = random_lp(&mut rnd);
+        let opts = SimplexOptions::default();
+        let mut dense = SimplexSolver::with_kernel(&lp, opts.clone(), true);
+        let mut sparse = SimplexSolver::with_kernel(&lp, opts, false);
+        assert!(dense.is_dense() && !sparse.is_dense());
+        let mut parents: Option<(BasisSnapshot, Vec<f64>, Vec<f64>)> = None;
+        let mut sparse_snap: Option<BasisSnapshot> = None;
+        for step in 0..12 {
+            let d = dense.solve_from(parents.as_ref().map(|p| &p.0), &lo, &hi);
+            let s = sparse.solve_from(sparse_snap.as_ref(), &lo, &hi);
+            assert_eq!(d.status, s.status, "seed {seed} step {step}");
+            if d.status == LpStatus::Optimal {
+                assert!(
+                    (d.objective - s.objective).abs() <= 1e-9,
+                    "seed {seed} step {step}: dense {} vs sparse {}",
+                    d.objective,
+                    s.objective
+                );
+                parents = Some((dense.snapshot(), lo.clone(), hi.clone()));
+                sparse_snap = Some(sparse.snapshot());
+            } else if let Some((_, plo, phi)) = &parents {
+                // Backtrack to the last optimal parent's box.
+                lo.clone_from(plo);
+                hi.clone_from(phi);
+            }
+            branch(&mut rnd, &mut lo, &mut hi);
+        }
+    }
+
+    /// Solves random children of an optimal parent warm, on both kernels;
+    /// every child the dual simplex declares infeasible must be infeasible
+    /// under a cold two-phase solve too. Returns the number of proofs.
+    fn check_dual_proofs(seed: u64) -> u64 {
+        let mut rnd = stream(seed);
+        let (lp, lo, hi) = random_lp(&mut rnd);
+        let mut proofs = 0;
+        for dense in [true, false] {
+            let opts = SimplexOptions::default();
+            let mut solver = SimplexSolver::with_kernel(&lp, opts.clone(), dense);
+            if solver.solve_from(None, &lo, &hi).status != LpStatus::Optimal {
+                continue;
+            }
+            let parent = solver.snapshot();
+            for child in 0..8 {
+                let (mut clo, mut chi) = (lo.clone(), hi.clone());
+                for _ in 0..1 + child % 3 {
+                    branch(&mut rnd, &mut clo, &mut chi);
+                }
+                let before = solver.stats().dual_infeasible;
+                let warm = solver.solve_from(Some(&parent), &clo, &chi);
+                if solver.stats().dual_infeasible > before {
+                    assert_eq!(warm.status, LpStatus::Infeasible);
+                    let cold = SimplexSolver::with_kernel(&lp, opts.clone(), dense)
+                        .solve_from(None, &clo, &chi);
+                    assert_eq!(
+                        cold.status,
+                        LpStatus::Infeasible,
+                        "seed {seed} dense {dense} child {child}: dual proof refuted"
+                    );
+                    proofs += 1;
+                }
+            }
+        }
+        proofs
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(128))]
+
+        #[test]
+        fn dense_and_sparse_kernels_agree_cold_and_warm(seed in 0u64..1 << 60) {
+            check_kernels_agree(seed);
+        }
+
+        #[test]
+        fn dual_infeasibility_proofs_survive_cold_solves(seed in 0u64..1 << 60) {
+            check_dual_proofs(seed);
+        }
+    }
+
+    #[test]
+    fn dual_infeasibility_proofs_are_exercised() {
+        let proofs: u64 = (0..200).map(check_dual_proofs).sum();
+        assert!(proofs >= 100, "only {proofs} dual infeasibility proofs");
     }
 }

@@ -1,7 +1,8 @@
 //! Cross-crate integration: the LP relaxation upper-bounds every heuristic
-//! and the exact MILP, the exact MILP dominates every heuristic, and the
-//! warm-started persistent solver agrees with cold solves on randomized
-//! branch & bound bound-override replays.
+//! and the exact MILP, the exact MILP dominates every heuristic, the exact
+//! MILP (direct and through a service worker) agrees with exhaustive
+//! placement enumeration, and the warm-started persistent solver agrees
+//! with cold solves on randomized branch & bound bound-override replays.
 
 use vmplace::lp::{
     LinearProgram, LpStatus, MilpOptions, RowSense, SimplexOptions, SimplexSolver, YieldLp,
@@ -77,6 +78,114 @@ fn relaxation_probabilities_are_a_distribution() {
             }
         }
     }
+}
+
+/// The best minimum yield over all `Hᴶ` placements of `inst`, each scored
+/// by the water-fill evaluator; `None` when no placement meets the rigid
+/// requirements.
+fn enumerate_best_yield(inst: &ProblemInstance) -> Option<f64> {
+    let (h, j) = (inst.num_nodes(), inst.num_services());
+    let mut node_of = vec![0usize; j];
+    let mut best: Option<f64> = None;
+    loop {
+        let placement = Placement::from_assignment(node_of.iter().map(|&n| Some(n)).collect());
+        if let Some(sol) = evaluate_placement(inst, &placement) {
+            best = Some(best.map_or(sol.min_yield, |b| b.max(sol.min_yield)));
+        }
+        // Odometer increment over {0..h}^j.
+        let mut k = 0;
+        while k < j && node_of[k] + 1 == h {
+            node_of[k] = 0;
+            k += 1;
+        }
+        if k == j {
+            return best;
+        }
+        node_of[k] += 1;
+    }
+}
+
+#[test]
+fn exact_milp_matches_placement_enumeration() {
+    // An oracle independent of the LP engine: enumerate every placement of
+    // small seeded instances (up to 3 hosts × 7 services) and score it
+    // with the water-fill evaluator. The exact MILP — called directly and
+    // through a `ServiceAlgo::Milp` worker — must agree on solvedness and
+    // on the best minimum yield. Tight-memory scenarios make some
+    // instances infeasible.
+    let mut pool = SolverPool::new(&ServiceConfig {
+        algo: ServiceAlgo::Milp,
+        workers: 1,
+        ..ServiceConfig::default()
+    });
+    let (mut feasible, mut infeasible) = (0, 0);
+    let mut id = 0u64;
+    for (hosts, services) in [(2usize, 4usize), (2, 6), (3, 5), (3, 6), (3, 7)] {
+        for seed in 0..10u64 {
+            let slack = [0.6, 0.3, 0.1, 0.02, 0.0][seed as usize % 5];
+            let inst = Scenario::new(ScenarioConfig {
+                hosts,
+                services,
+                cov: 0.5,
+                memory_slack: slack,
+                ..ScenarioConfig::default()
+            })
+            .instance(seed);
+            let case = format!("{hosts}x{services} seed {seed} slack {slack}");
+            let oracle = enumerate_best_yield(&inst);
+            let ylp = YieldLp::build(&inst);
+            // Infeasible instances that the MILP itself must prove so (no
+            // service is excluded outright by the model build).
+            match (oracle, &ylp) {
+                (Some(_), _) => feasible += 1,
+                (None, Some(_)) => infeasible += 1,
+                (None, None) => {}
+            }
+
+            let direct = ylp
+                .and_then(|ylp| ylp.solve_exact(&MilpOptions::default()))
+                .map(|(placement, _)| {
+                    evaluate_placement(&inst, &placement)
+                        .expect("the MILP placement meets the rigid requirements")
+                        .min_yield
+                });
+
+            let response = pool
+                .replay(vec![AllocRequest {
+                    id,
+                    stream: id,
+                    kind: RequestKind::New(inst.clone()),
+                    budget: None,
+                    policy: ResponsePolicy::Exact,
+                }])
+                .pop()
+                .expect("one response");
+            id += 1;
+            let served = response.min_yield();
+            assert_eq!(
+                response.outcome == RequestOutcome::Solved,
+                oracle.is_some(),
+                "{case}: worker outcome {:?} vs enumeration {oracle:?}",
+                response.outcome
+            );
+
+            for (who, got) in [("solve_exact", direct), ("Milp worker", served)] {
+                match (got, oracle) {
+                    (Some(g), Some(o)) => assert!(
+                        (g - o).abs() <= 1e-9,
+                        "{case}: {who} min yield {g} vs enumeration {o}"
+                    ),
+                    (None, None) => {}
+                    _ => panic!("{case}: {who} {got:?} vs enumeration {oracle:?}"),
+                }
+            }
+        }
+    }
+    assert!(
+        feasible > 0 && infeasible > 0,
+        "the suite must cover both outcomes \
+         ({feasible} feasible, {infeasible} infeasible by packing)"
+    );
 }
 
 /// Deterministic xorshift-style generator for the differential suites.
